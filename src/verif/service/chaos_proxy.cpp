@@ -511,6 +511,9 @@ ChaosProxy::run()
         if (pr < 0 && errno != EINTR)
             return;
 
+        // Connections accepted below have no pfds entry this round;
+        // they are polled from the next one.
+        const std::size_t polled = im.conns.size();
         if ((pfds[1].revents & POLLIN) != 0) {
             for (;;) {
                 const int cfd =
@@ -549,8 +552,8 @@ ChaosProxy::run()
         // them in the same order the pfds were built.
         std::size_t pi = 2;
         const double flushNow = monoNow();
-        for (auto &cp : im.conns) {
-            Impl::Conn &c = *cp;
+        for (std::size_t k = 0; k < polled; ++k) {
+            Impl::Conn &c = *im.conns[k];
             if (c.dead)
                 continue;
             const short crev = pfds[pi].revents;

@@ -438,6 +438,7 @@ Coordinator::startAttempt(Job &job)
             w.putF64(opts_.heartbeatSeconds);
             w.putU64(job.ckpt.epoch);
             w.putU32(job.ckpt.parts);
+            w.putU32(job.attempts);
             putString(w, opts_.stateDir);
             job.spec.encode(w);
             pw.ch.queueFrame(MsgType::Assign, w.take());
@@ -462,6 +463,7 @@ Coordinator::startAttempt(Job &job)
                 cfg.partDir = opts_.stateDir;
                 cfg.resumeEpoch = job.ckpt.epoch;
                 cfg.resumeParts = job.ckpt.parts;
+                cfg.attempt = job.attempts;
                 cfg.coordAddr = advertise_;
                 cfg.jobId = job.id;
                 cfg.nonce = a.nonce;
@@ -525,6 +527,7 @@ Coordinator::startAttempt(Job &job)
             cfg.partDir = opts_.stateDir;
             cfg.resumeEpoch = job.ckpt.epoch;
             cfg.resumeParts = job.ckpt.parts;
+            cfg.attempt = job.attempts;
             WorkerEndpoints eps;
             eps.control = ctl[i][1];
             eps.peers = peerFd[i];

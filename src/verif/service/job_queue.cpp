@@ -22,7 +22,7 @@ namespace neo
 // ---------------------------------------------------------------
 
 void
-JobSpec::encode(SnapshotWriter &w) const
+JobSpec::encodeBase(SnapshotWriter &w) const
 {
     putString(w, features);
     putString(w, system);
@@ -36,7 +36,7 @@ JobSpec::encode(SnapshotWriter &w) const
 }
 
 bool
-JobSpec::decode(SnapshotReader &r, JobSpec &out)
+JobSpec::decodeBase(SnapshotReader &r, JobSpec &out)
 {
     out.features = getString(r);
     out.system = getString(r);
@@ -47,6 +47,24 @@ JobSpec::decode(SnapshotReader &r, JobSpec &out)
     out.maxSeconds = r.getF64();
     out.crashAfter = r.getU64();
     out.workers = r.getU32();
+    out.holdAfter = 0;
+    return r.ok();
+}
+
+void
+JobSpec::encode(SnapshotWriter &w) const
+{
+    encodeBase(w);
+    w.putU64(holdAfter);
+}
+
+bool
+JobSpec::decode(SnapshotReader &r, JobSpec &out)
+{
+    if (!decodeBase(r, out))
+        return false;
+    if (!r.atEnd())
+        out.holdAfter = r.getU64();
     return r.ok();
 }
 
@@ -63,6 +81,8 @@ JobSpec::summary() const
            << ") n=" << n;
     if (crashAfter != 0)
         os << " crash-after=" << crashAfter;
+    if (holdAfter != 0)
+        os << " hold-after=" << holdAfter;
     if (workers != 0)
         os << " workers=" << workers;
     return os.str();
@@ -140,7 +160,7 @@ void
 encodeJobFull(SnapshotWriter &w, const Job &job)
 {
     w.putU64(job.id);
-    job.spec.encode(w);
+    job.spec.encodeBase(w);
     w.putU8(static_cast<std::uint8_t>(job.state));
     w.putU32(job.attempts);
     w.putU32(job.nextWorkers);
@@ -153,7 +173,7 @@ bool
 decodeJobFull(SnapshotReader &r, Job &job)
 {
     job.id = r.getU64();
-    if (!JobSpec::decode(r, job.spec))
+    if (!JobSpec::decodeBase(r, job.spec))
         return false;
     job.state = static_cast<JobState>(r.getU8());
     job.attempts = r.getU32();
@@ -162,6 +182,38 @@ decodeJobFull(SnapshotReader &r, Job &job)
     if (!JobResult::decode(r, job.result))
         return false;
     job.lastFailure = getString(r);
+    return r.ok();
+}
+
+/** Compaction snapshot job table: the job entries (spec in its base
+ *  layout), then one holdAfter per job. Snapshots written before
+ *  holdAfter existed end after the entries and decode with 0. */
+void
+encodeSnapshotJobs(SnapshotWriter &w,
+                   const std::map<std::uint64_t, Job> &jobs)
+{
+    w.putU32(static_cast<std::uint32_t>(jobs.size()));
+    for (const auto &[id, job] : jobs)
+        encodeJobFull(w, job);
+    for (const auto &[id, job] : jobs)
+        w.putU64(job.spec.holdAfter);
+}
+
+/** @return false on a truncated table; @p out then holds the entries
+ *  decoded before the cut. */
+bool
+decodeSnapshotJobs(SnapshotReader &r, std::vector<Job> &out)
+{
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        Job job;
+        if (!decodeJobFull(r, job))
+            return false;
+        out.push_back(std::move(job));
+    }
+    if (!r.atEnd())
+        for (Job &job : out)
+            job.spec.holdAfter = r.getU64();
     return r.ok();
 }
 
@@ -440,11 +492,9 @@ JobQueue::open(const std::string &path, double now, std::string &err)
                   jobs_.clear();
                   nextId_ = std::max<std::uint64_t>(1, r.getU64());
                   maxEpoch_ = r.getU64();
-                  const std::uint32_t count = r.getU32();
-                  for (std::uint32_t i = 0; i < count; ++i) {
-                      Job job;
-                      if (!decodeJobFull(r, job))
-                          return;
+                  std::vector<Job> loaded;
+                  decodeSnapshotJobs(r, loaded);
+                  for (Job &job : loaded) {
                       nextId_ = std::max(nextId_, job.id + 1);
                       jobs_[job.id] = std::move(job);
                   }
@@ -501,9 +551,7 @@ JobQueue::compactNow()
     SnapshotWriter w;
     w.putU64(nextId_);
     w.putU64(maxEpoch_);
-    w.putU32(static_cast<std::uint32_t>(jobs_.size()));
-    for (const auto &[id, job] : jobs_)
-        encodeJobFull(w, job);
+    encodeSnapshotJobs(w, jobs_);
     const std::uint64_t before = journal_.bytes();
     std::string err;
     if (!journal_.rewrite(kRecSnapshot, w.take(), err)) {
@@ -745,23 +793,16 @@ dumpJournal(const std::string &path, std::FILE *out, std::string &err)
                   // inflate that count.
                   const std::uint64_t nextId = r.getU64();
                   const std::uint64_t maxEpoch = r.getU64();
-                  const std::uint32_t count = r.getU32();
+                  std::vector<Job> jobs;
+                  const bool whole = decodeSnapshotJobs(r, jobs);
                   std::fprintf(
                       out,
                       "SNAPSHOT next-id=%llu max-epoch=%llu "
-                      "jobs=%u\n",
+                      "jobs=%zu\n",
                       static_cast<unsigned long long>(nextId),
                       static_cast<unsigned long long>(maxEpoch),
-                      count);
-                  for (std::uint32_t i = 0; i < count; ++i) {
-                      Job job;
-                      if (!decodeJobFull(r, job)) {
-                          std::fprintf(out,
-                                       "SNAPSHOT truncated at "
-                                       "entry %u\n",
-                                       i);
-                          break;
-                      }
+                      jobs.size());
+                  for (const Job &job : jobs)
                       std::fprintf(
                           out,
                           "SNAP job=%llu state=%s attempt=%u "
@@ -769,7 +810,11 @@ dumpJournal(const std::string &path, std::FILE *out, std::string &err)
                           static_cast<unsigned long long>(job.id),
                           jobStateName(job.state), job.attempts,
                           job.spec.summary().c_str());
-                  }
+                  if (!whole)
+                      std::fprintf(out,
+                                   "SNAPSHOT truncated at entry "
+                                   "%zu\n",
+                                   jobs.size());
                   break;
               }
               default:

@@ -53,9 +53,26 @@ struct JobSpec
      *  a big sweep job can be capped so it never crowds out small
      *  ones. */
     std::uint32_t workers = 0;
+    /** Fault-injection hook (tests): in the job's FIRST attempt the
+     *  worker owning shard 0 stops expanding once it has interned
+     *  this many fresh states; 0 disables. The held worker keeps
+     *  interning, ponging, pausing and writing checkpoints, so the
+     *  attempt can commit epochs but never reach its fixpoint — a
+     *  deterministic "mid-exploration" window for kill tests. Later
+     *  attempts run unheld, so the job is not poison. */
+    std::uint64_t holdAfter = 0;
 
+    /** All fields; trailing fields added after the original layout
+     *  (holdAfter) come last. */
     void encode(SnapshotWriter &w) const;
+    /** Decode a spec that ends its record or frame. Trailing fields
+     *  are read only when bytes remain, so journals written before
+     *  they existed still replay (with the fields at 0). */
     static bool decode(SnapshotReader &r, JobSpec &out);
+    /** The original layout only, for specs embedded mid-record
+     *  (compaction snapshots carry the trailing fields separately). */
+    void encodeBase(SnapshotWriter &w) const;
+    static bool decodeBase(SnapshotReader &r, JobSpec &out);
     std::string summary() const;
 };
 

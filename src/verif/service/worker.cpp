@@ -131,7 +131,9 @@ struct WorkerRt
     std::uint64_t invChecks = 0;
     std::uint64_t sentTotal = 0;
     std::uint64_t recvTotal = 0;
-    std::uint64_t freshInterns = 0; ///< this attempt (crashAfter gate)
+    std::uint64_t freshInterns = 0; ///< this attempt (fault hooks)
+    /** Nonzero: spec.holdAfter, armed on shard 0 of attempt 1. */
+    std::uint64_t holdAfter = 0;
 
     /** TCP star topology: no peer mesh; foreign states ride the
      *  control channel as StatesTo frames the coordinator relays. */
@@ -160,6 +162,14 @@ struct WorkerRt
 };
 
 void pollControlOnce(WorkerRt &rt, int timeoutMs);
+
+/** Fault-injection hold: expansion stops, everything else (interning
+ *  relayed states, pongs, barriers, Finish/Stop) carries on. */
+bool
+held(const WorkerRt &rt)
+{
+    return rt.holdAfter != 0 && rt.freshInterns >= rt.holdAfter;
+}
 
 void
 flushBatch(WorkerRt &rt, unsigned peer)
@@ -208,8 +218,8 @@ reportViolation(WorkerRt &rt, const std::string &invariant,
 }
 
 /** Intern a state this worker owns; fresh states are invariant-
- *  checked, queued for expansion, and gated by the crash-injection
- *  hook. */
+ *  checked, queued for expansion, and counted for the fault-injection
+ *  hooks. */
 void
 acceptOwn(WorkerRt &rt, const std::uint8_t *bytes, std::uint64_t hash)
 {
@@ -225,8 +235,9 @@ acceptOwn(WorkerRt &rt, const std::uint8_t *bytes, std::uint64_t hash)
         }
     }
     rt.queue.push_back(id);
+    ++rt.freshInterns;
     if (rt.cfg->spec.crashAfter != 0 &&
-        ++rt.freshInterns >= rt.cfg->spec.crashAfter)
+        rt.freshInterns >= rt.cfg->spec.crashAfter)
         ::_exit(kWorkerExitInjectedCrash); // injected fault: die hard
 }
 
@@ -583,6 +594,8 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
     rt.numVars = ts.numVars();
     rt.fingerprint = modelFingerprint(ts);
     rt.scratch.assign(rt.numVars, 0);
+    if (cfg.attempt == 1 && cfg.index == 0)
+        rt.holdAfter = cfg.spec.holdAfter;
 
     ExploreLimits presize;
     presize.maxStates = cfg.spec.maxStates;
@@ -673,7 +686,8 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
         const bool ctlFull =
             rt.star && rt.ctl.outPending() >= kCtlHighWater;
         const bool canExpand = !rt.paused && !rt.violated &&
-                               !rt.queue.empty() && !ctlFull;
+                               !rt.queue.empty() && !ctlFull &&
+                               !held(rt);
         if (!canExpand)
             flushAllBatches(rt); // going idle: nothing may linger
 
@@ -768,8 +782,9 @@ runWorkerProcess(const WorkerConfig &cfg, const WorkerEndpoints &eps)
 
         if (!rt.paused && !rt.violated &&
             !(rt.star && rt.ctl.outPending() >= kCtlHighWater)) {
-            for (unsigned b = 0;
-                 b < kExpandBatch && !rt.queue.empty(); ++b)
+            for (unsigned b = 0; b < kExpandBatch &&
+                                 !rt.queue.empty() && !held(rt);
+                 ++b)
                 expandOne(rt, cur, succ);
         }
     }
@@ -856,6 +871,7 @@ runJoinAgent(const JoinOptions &opts)
         cfg.heartbeatSeconds = r.getF64();
         cfg.resumeEpoch = r.getU64();
         cfg.resumeParts = r.getU32();
+        cfg.attempt = r.getU32();
         const std::string coordDir = getString(r);
         if (!r.ok() || !JobSpec::decode(r, cfg.spec)) {
             neo_warn("malformed Assign frame; rejoining");

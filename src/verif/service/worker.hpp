@@ -54,6 +54,11 @@ struct WorkerConfig
      *  keeps only the states it owns under the new W (reshard). */
     std::uint64_t resumeEpoch = 0;
     std::uint32_t resumeParts = 0;
+    /** 1-based attempt number of the job. Passed explicitly (not
+     *  inferred from resumeEpoch == 0: a retry with no committed
+     *  epoch also starts from scratch) because JobSpec::holdAfter
+     *  applies to attempt 1 only. */
+    std::uint32_t attempt = 1;
 
     /** TCP star mode: non-empty makes the worker dial this address,
      *  authenticate with Hello{jobId, nonce, index}, wait for the

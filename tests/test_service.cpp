@@ -410,6 +410,68 @@ TEST(JobQueue, CompactionPreservesReplayEquivalence)
     expectSameJobTable(a, b);
 }
 
+TEST(JobQueue, CompactionCarriesHoldAfterAndReadsOldSnapshots)
+{
+    DirGuard d(tempDir("neoc"));
+    JobSpec held;
+    held.features = "german";
+    held.n = 5;
+    held.holdAfter = 2000;
+    {
+        JobQueue q(3, 0.0);
+        std::string err;
+        ASSERT_TRUE(q.open(d.path + "/new.neoj", 0.0, err)) << err;
+        q.submit(held);
+        q.compactNow();
+    }
+    {
+        JobQueue q(3, 0.0);
+        std::string err;
+        ASSERT_TRUE(q.open(d.path + "/new.neoj", 0.0, err)) << err;
+        ASSERT_NE(q.find(1), nullptr);
+        EXPECT_EQ(q.find(1)->spec.holdAfter, 2000u);
+    }
+
+    // A snapshot written before holdAfter existed: job entries in the
+    // base spec layout and no hold table after them.
+    {
+        JobJournal j;
+        std::string err;
+        ASSERT_TRUE(j.open(d.path + "/old.neoj", err)) << err;
+        SnapshotWriter w;
+        w.putU64(8); // next id
+        w.putU64(4); // max epoch
+        w.putU32(1); // jobs
+        w.putU64(7); // job id
+        held.encodeBase(w);
+        w.putU8(static_cast<std::uint8_t>(JobState::Pending));
+        w.putU32(1); // attempts
+        w.putU32(3); // next workers
+        w.putU64(4); // ckpt: epoch, parts, states, transitions,
+        w.putU32(4); //       invariant checks, seconds
+        w.putU64(1000);
+        w.putU64(9000);
+        w.putU64(1000);
+        w.putF64(0.5);
+        JobResult().encode(w);
+        putString(w, "worker died");
+        ASSERT_TRUE(j.append(kRecSnapshot, w.take()));
+    }
+    JobQueue q(3, 0.0);
+    std::string err;
+    ASSERT_TRUE(q.open(d.path + "/old.neoj", 0.0, err)) << err;
+    const Job *job = q.find(7);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->spec.summary(), "german n=5");
+    EXPECT_EQ(job->spec.holdAfter, 0u);
+    EXPECT_EQ(job->attempts, 1u);
+    EXPECT_EQ(job->nextWorkers, 3u);
+    EXPECT_EQ(job->ckpt.epoch, 4u);
+    EXPECT_EQ(job->ckpt.states, 1000u);
+    EXPECT_EQ(job->lastFailure, "worker died");
+    EXPECT_EQ(q.maxEpochSeen(), 4u);
+}
+
 TEST(JobQueue, SizeTriggeredCompactionBoundsTheJournal)
 {
     DirGuard d(tempDir("neoc"));
@@ -556,12 +618,14 @@ TEST(Wire, JobSpecEncodesLosslessly)
     spec.maxStates = 123456;
     spec.maxSeconds = 9.5;
     spec.crashAfter = 42;
+    spec.holdAfter = 2000;
     SnapshotWriter w;
     spec.encode(w);
     const auto bytes = w.take();
     SnapshotReader r(bytes);
     JobSpec out;
     ASSERT_TRUE(JobSpec::decode(r, out));
+    EXPECT_TRUE(r.atEnd());
     EXPECT_EQ(out.features, spec.features);
     EXPECT_EQ(out.system, spec.system);
     EXPECT_EQ(out.method, spec.method);
@@ -570,6 +634,34 @@ TEST(Wire, JobSpecEncodesLosslessly)
     EXPECT_EQ(out.maxStates, spec.maxStates);
     EXPECT_DOUBLE_EQ(out.maxSeconds, spec.maxSeconds);
     EXPECT_EQ(out.crashAfter, spec.crashAfter);
+    EXPECT_EQ(out.holdAfter, spec.holdAfter);
+    EXPECT_NE(out.summary().find(" hold-after=2000"), std::string::npos)
+        << out.summary();
+
+    // A record written before holdAfter existed ends after `workers`:
+    // it must still decode, with the hold off.
+    SnapshotWriter old;
+    putString(old, spec.features);
+    putString(old, spec.system);
+    putString(old, spec.method);
+    putString(old, spec.mutant);
+    old.putU64(spec.n);
+    old.putU64(spec.maxStates);
+    old.putF64(spec.maxSeconds);
+    old.putU64(spec.crashAfter);
+    old.putU32(3);
+    const auto oldBytes = old.take();
+    SnapshotReader oldR(oldBytes);
+    JobSpec legacy;
+    legacy.holdAfter = 99; // decode must reset it, not keep it
+    ASSERT_TRUE(JobSpec::decode(oldR, legacy));
+    EXPECT_TRUE(oldR.atEnd());
+    EXPECT_EQ(legacy.features, spec.features);
+    EXPECT_EQ(legacy.mutant, spec.mutant);
+    EXPECT_EQ(legacy.crashAfter, spec.crashAfter);
+    EXPECT_EQ(legacy.workers, 3u);
+    EXPECT_EQ(legacy.holdAfter, 0u);
+    EXPECT_EQ(legacy.summary().find("hold-after"), std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -958,6 +1050,118 @@ germanReference(std::size_t n)
     return explore(ts, lim, false, true);
 }
 
+/** Job @p id's line of a --status dump; empty when it has none. */
+std::string
+statusLine(const std::string &status, int id)
+{
+    const std::string head = "\njob " + std::to_string(id) + " ";
+    const auto at = status.find(head);
+    if (at == std::string::npos)
+        return {};
+    const auto eol = status.find('\n', at + 1);
+    return status.substr(at + 1, eol - at - 1);
+}
+
+/** Poll --status until job @p id's FIRST attempt is RUNNING with
+ *  @p needle on its line. Submitted with --inject-hold-after, that
+ *  attempt cannot reach its fixpoint, so this is an event to wait
+ *  for, not a race against the job. @return the line; empty if it
+ *  never showed (e.g. the no-progress watchdog failed the attempt
+ *  first). */
+std::string
+awaitHeldAttempt(const ServiceFixture &svc, int id,
+                 const std::string &needle = "")
+{
+    std::string out;
+    for (int i = 0; i < 500; ++i) {
+        if (svc.client("--status", out) == 0) {
+            const std::string line = statusLine(out, id);
+            if (line.find(" RUNNING attempt=1/") != std::string::npos &&
+                line.find(needle) != std::string::npos)
+                return line;
+        }
+        ::usleep(20 * 1000);
+    }
+    return {};
+}
+
+/** Shard 0's pid: the first entry of a status line's pids= list. */
+pid_t
+shardZeroPid(const std::string &line)
+{
+    const auto pos = line.find("pids=");
+    if (pos == std::string::npos)
+        return -1;
+    return static_cast<pid_t>(
+        std::strtol(line.c_str() + pos + 5, nullptr, 10));
+}
+
+/** @p svc's job journal as neoverify --journal prints it. */
+void
+readJournal(const ServiceFixture &svc, std::string &dump)
+{
+    const std::string dumpCmd = std::string(NEOVERIFY_BIN) +
+                                " --journal " + svc.dir +
+                                "/state/journal.neoj 2>&1";
+    FILE *p = ::popen(dumpCmd.c_str(), "r");
+    ASSERT_NE(p, nullptr);
+    char buf[4096];
+    dump.clear();
+    while (std::fgets(buf, sizeof buf, p) != nullptr)
+        dump += buf;
+    ::pclose(p);
+}
+
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::size_t at = 0;
+    while (at < text.size()) {
+        const auto eol = text.find('\n', at);
+        const auto end = eol == std::string::npos ? text.size() : eol;
+        lines.push_back(text.substr(at, end - at));
+        at = end + 1;
+    }
+    return lines;
+}
+
+/** Index of the first of @p lines at or after @p from that starts
+ *  with @p prefix; lines.size() when there is none. */
+std::size_t
+findLine(const std::vector<std::string> &lines,
+         const std::string &prefix, std::size_t from = 0)
+{
+    for (std::size_t i = from; i < lines.size(); ++i)
+        if (lines[i].rfind(prefix, 0) == 0)
+            return i;
+    return lines.size();
+}
+
+/**
+ * The worker-kill tests' premise, read back from the journal: job 1
+ * committed a checkpoint epoch BELOW the fixpoint, then its first
+ * attempt failed, then a second attempt started (and resumed from
+ * that cut). @p retryAt receives the second START's line index.
+ */
+void
+expectKillAfterMidExplorationCheckpoint(const std::string &dump,
+                                        std::uint64_t fixpoint,
+                                        std::size_t &retryAt)
+{
+    const std::vector<std::string> lines = splitLines(dump);
+    const std::size_t failAt = findLine(lines, "FAIL job=1 attempt=1 ");
+    ASSERT_LT(failAt, lines.size()) << dump;
+    bool midCut = false;
+    for (std::size_t i = findLine(lines, "CKPT job=1 "); i < failAt;
+         i = findLine(lines, "CKPT job=1 ", i + 1))
+        midCut |= scrapeCount(lines[i], "states") < fixpoint;
+    EXPECT_TRUE(midCut)
+        << "no mid-exploration checkpoint before the kill\n" << dump;
+    retryAt = findLine(lines, "START job=1 attempt=2 ", failAt);
+    ASSERT_LT(retryAt, lines.size()) << dump;
+}
+
 TEST(Service, MatchesSequentialCounts)
 {
     ServiceFixture svc("--workers 4");
@@ -977,27 +1181,18 @@ TEST(Service, SigkilledWorkerRecoversToTheExactFixpoint)
     // recovery genuinely reshards a partial exploration.
     ServiceFixture svc("--workers 4 --checkpoint-every 300ms");
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0)
+    // Shard 0 holds after 2000 fresh states (of its ~34k), so the
+    // first attempt cannot finish before the kill lands.
+    ASSERT_EQ(svc.client("--submit --features german --n 5"
+                         " --inject-hold-after 2000",
+                         out),
+              0)
         << out;
 
-    // Grab a worker pid from --status, then SIGKILL it mid-flight.
-    pid_t victim = -1;
-    for (int i = 0; i < 100 && victim < 0; ++i) {
-        ASSERT_EQ(svc.client("--status", out), 0) << out;
-        const auto pos = out.find("pids=");
-        if (pos != std::string::npos) {
-            // Second pid of the comma-separated list.
-            const auto comma = out.find(',', pos);
-            if (comma != std::string::npos)
-                victim = static_cast<pid_t>(
-                    std::strtol(out.c_str() + comma + 1, nullptr, 10));
-        }
-        if (victim < 0)
-            ::usleep(20 * 1000);
-    }
-    ASSERT_GT(victim, 0) << "no running worker to kill: " << out;
-    // Let it explore long enough that a checkpoint epoch commits.
-    ::usleep(500 * 1000);
+    // Wait for a committed checkpoint epoch, then SIGKILL shard 0.
+    const std::string line = awaitHeldAttempt(svc, 1, " ckpt-epoch=");
+    const pid_t victim = shardZeroPid(line);
+    ASSERT_GT(victim, 0) << "no checkpointed attempt to kill: " << line;
     ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
     const int rc = svc.client("--wait 1", out);
@@ -1008,6 +1203,14 @@ TEST(Service, SigkilledWorkerRecoversToTheExactFixpoint)
     // on the same fixpoint counts as an undisturbed sequential run.
     EXPECT_EQ(scrapeCount(out, "states"), ref.statesExplored);
     EXPECT_EQ(scrapeCount(out, "transitions"), ref.transitionsFired);
+
+    // And the run was the one this test is about: the kill came after
+    // a mid-exploration checkpoint, and the retry resumed from it.
+    std::string dump;
+    ASSERT_NO_FATAL_FAILURE(readJournal(svc, dump));
+    std::size_t retryAt = 0;
+    ASSERT_NO_FATAL_FAILURE(expectKillAfterMidExplorationCheckpoint(
+        dump, ref.statesExplored, retryAt));
 }
 
 TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
@@ -1021,7 +1224,10 @@ TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
     // burned, an unwarranted quarantine.
     ServiceFixture svc("--workers 4 --checkpoint-every 200ms");
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0)
+    ASSERT_EQ(svc.client("--submit --features german --n 5"
+                         " --inject-hold-after 2000",
+                         out),
+              0)
         << out;
     // A fast job queued behind it: it will run (and prune) inside
     // job 1's backoff window after the kill below.
@@ -1030,20 +1236,11 @@ TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
               0)
         << out;
 
-    pid_t victim = -1;
-    for (int i = 0; i < 100 && victim < 0; ++i) {
-        ASSERT_EQ(svc.client("--status", out), 0) << out;
-        const auto pos = out.find("pids=");
-        if (pos != std::string::npos)
-            victim = static_cast<pid_t>(
-                std::strtol(out.c_str() + pos + 5, nullptr, 10));
-        if (victim < 0)
-            ::usleep(20 * 1000);
-    }
-    ASSERT_GT(victim, 0) << "no running worker to kill: " << out;
-    // Long enough for a checkpoint epoch to commit, so the retry has
-    // a base it must find intact after job 2's prune.
-    ::usleep(500 * 1000);
+    // Kill shard 0 once a checkpoint epoch has committed, so the
+    // retry has a base it must find intact after job 2's prune.
+    const std::string line = awaitHeldAttempt(svc, 1, " ckpt-epoch=");
+    const pid_t victim = shardZeroPid(line);
+    ASSERT_GT(victim, 0) << "no checkpointed attempt to kill: " << line;
     ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
     // The mutant job completes (with its violation verdict) during
@@ -1057,20 +1254,38 @@ TEST(Service, BackedOffJobsCheckpointSurvivesInterleavedJobs)
     const ExploreResult ref = germanReference(5);
     EXPECT_EQ(scrapeCount(out, "states"), ref.statesExplored);
     EXPECT_EQ(scrapeCount(out, "transitions"), ref.transitionsFired);
+
+    // The premise, from the journal: a mid-exploration epoch
+    // committed before the kill, and job 2 started inside job 1's
+    // backoff window (job 2 is eligible at once, job 1 only after
+    // its backoff) — the window in which the prune regression bit.
+    std::string dump;
+    ASSERT_NO_FATAL_FAILURE(readJournal(svc, dump));
+    std::size_t retryAt = 0;
+    ASSERT_NO_FATAL_FAILURE(expectKillAfterMidExplorationCheckpoint(
+        dump, ref.statesExplored, retryAt));
+    EXPECT_LT(findLine(splitLines(dump), "START job=2 "), retryAt)
+        << dump;
 }
 
 TEST(Service, SigkilledCoordinatorReplaysEveryJobExactlyOnce)
 {
     ServiceFixture svc("--workers 2 --checkpoint-every 300ms");
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0);
+    ASSERT_EQ(svc.client("--submit --features german --n 5"
+                         " --inject-hold-after 2000",
+                         out),
+              0);
     ASSERT_EQ(svc.client("--submit --features german --n 3", out), 0);
     ASSERT_EQ(svc.client("--submit --features msi --system closed"
                          " --n 2",
                          out),
               0);
-    // Kill the coordinator while job 1 is mid-exploration.
-    ::usleep(400 * 1000);
+    // Kill the coordinator while job 1 is mid-exploration: its held
+    // first attempt is running and cannot finish. The replayed retry
+    // is attempt 2, which runs unheld.
+    ASSERT_FALSE(awaitHeldAttempt(svc, 1).empty())
+        << "job 1 never ran";
     svc.stop(); // SIGKILL, no goodbye
 
     // Crash-only restart: same state dir, drain the queue, exit.
@@ -1087,15 +1302,7 @@ TEST(Service, SigkilledCoordinatorReplaysEveryJobExactlyOnce)
 
     // The journal is the ledger: every job DONE exactly once.
     std::string dump;
-    const std::string dumpCmd = std::string(NEOVERIFY_BIN) +
-                                " --journal " + svc.dir +
-                                "/state/journal.neoj 2>&1";
-    FILE *p = ::popen(dumpCmd.c_str(), "r");
-    ASSERT_NE(p, nullptr);
-    char buf[4096];
-    while (std::fgets(buf, sizeof buf, p) != nullptr)
-        dump += buf;
-    ::pclose(p);
+    ASSERT_NO_FATAL_FAILURE(readJournal(svc, dump));
 
     for (int jobId = 1; jobId <= 3; ++jobId) {
         const std::string needle =
@@ -1201,12 +1408,7 @@ TEST(Service, SubmitRejectsUnknownModelAtTheDoor)
 std::uint64_t
 runningStates(const std::string &status, int id)
 {
-    const std::string head = "job " + std::to_string(id) + " ";
-    const auto at = status.find(head);
-    if (at == std::string::npos)
-        return ~0ULL;
-    const auto eol = status.find('\n', at);
-    const std::string line = status.substr(at, eol - at);
+    const std::string line = statusLine(status, id);
     if (line.find("RUNNING") == std::string::npos)
         return ~0ULL;
     return scrapeCount(line, "states");
@@ -1251,14 +1453,23 @@ TEST(Service, SigkilledCoordinatorWithConcurrentJobsReplaysExactlyOnce)
     ServiceFixture svc(
         "--workers 2 --max-jobs 2 --checkpoint-every 300ms");
     std::string out;
-    ASSERT_EQ(svc.client("--submit --features german --n 5", out), 0);
-    ASSERT_EQ(svc.client("--submit --features german --n 4", out), 0);
+    ASSERT_EQ(svc.client("--submit --features german --n 5"
+                         " --inject-hold-after 2000",
+                         out),
+              0);
+    ASSERT_EQ(svc.client("--submit --features german --n 4"
+                         " --inject-hold-after 2000",
+                         out),
+              0);
     ASSERT_EQ(svc.client("--submit --features msi --system closed"
                          " --n 2",
                          out),
               0);
-    // Kill the coordinator while (at least) two attempts are live.
-    ::usleep(400 * 1000);
+    // Kill the coordinator while two attempts are live: both held
+    // first attempts running, neither able to finish. The replayed
+    // retries are attempt 2 and run unheld.
+    ASSERT_FALSE(awaitHeldAttempt(svc, 1).empty()) << "job 1 never ran";
+    ASSERT_FALSE(awaitHeldAttempt(svc, 2).empty()) << "job 2 never ran";
     svc.stop(); // SIGKILL, no goodbye
 
     const pid_t drainer = spawnNeoverify(
@@ -1273,15 +1484,7 @@ TEST(Service, SigkilledCoordinatorWithConcurrentJobsReplaysExactlyOnce)
         << "drain exited " << st;
 
     std::string dump;
-    const std::string dumpCmd = std::string(NEOVERIFY_BIN) +
-                                " --journal " + svc.dir +
-                                "/state/journal.neoj 2>&1";
-    FILE *p = ::popen(dumpCmd.c_str(), "r");
-    ASSERT_NE(p, nullptr);
-    char buf[4096];
-    while (std::fgets(buf, sizeof buf, p) != nullptr)
-        dump += buf;
-    ::pclose(p);
+    ASSERT_NO_FATAL_FAILURE(readJournal(svc, dump));
     for (int jobId = 1; jobId <= 3; ++jobId) {
         const std::string needle =
             "DONE job=" + std::to_string(jobId) + " ";

@@ -164,6 +164,9 @@ usage()
         "  --journal PATH    dump a job journal, one record per line\n"
         "  --inject-crash-after N   fault injection: each worker dies\n"
         "                    after N fresh states (tests quarantine)\n"
+        "  --inject-hold-after N    fault injection: in the job's first\n"
+        "                    attempt, shard 0 stops expanding after N\n"
+        "                    fresh states (a window to kill it in)\n"
         "exit codes: 0 verified/no violation, 1 violation or bound\n"
         "exceeded, 2 usage error, 5 interrupted (resumable),\n"
         "6 job quarantined as poison, 7 service unavailable\n");
@@ -432,6 +435,7 @@ main(int argc, char **argv)
     std::string journalPath;
     ClientVerbs verbs;
     std::uint64_t crashAfter = 0;
+    std::uint64_t holdAfter = 0;
     std::string joinAddr;
     std::string chaosListen, chaosUpstream, chaosSpecText;
     double netTimeout = 0.0;
@@ -600,6 +604,8 @@ main(int argc, char **argv)
             journalPath = next();
         } else if (arg == "--inject-crash-after") {
             crashAfter = parseU64OrDie(arg, next());
+        } else if (arg == "--inject-hold-after") {
+            holdAfter = parseU64OrDie(arg, next());
         } else if (arg == "--shrink") {
             shrink = true;
         } else if (arg == "--mutant") {
@@ -667,6 +673,7 @@ main(int argc, char **argv)
         spec.maxStates = lim.maxStates;
         spec.maxSeconds = lim.maxSeconds;
         spec.crashAfter = crashAfter;
+        spec.holdAfter = holdAfter;
         spec.workers = jobWorkers;
         return runClient(clientSock, verbs, spec, netTimeout);
     }
