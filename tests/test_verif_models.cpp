@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "verif/explorer.hpp"
 #include "verif/models/flat_closed.hpp"
 #include "verif/models/flat_open.hpp"
@@ -29,8 +32,11 @@ testLimits()
     return lim;
 }
 
+// The preset is a std::string, not a const char *: gtest prints a
+// pointer parameter's address into the listed test name, and ASLR
+// would give the ctest name a different address on every discovery.
 class ClosedSafety
-    : public ::testing::TestWithParam<std::tuple<int, const char *>>
+    : public ::testing::TestWithParam<std::tuple<int, std::string>>
 {
 };
 
@@ -38,9 +44,9 @@ TEST_P(ClosedSafety, Verifies)
 {
     const auto [n, preset] = GetParam();
     VerifFeatures f;
-    if (std::string(preset) == "msi")
+    if (preset == "msi")
         f = VerifFeatures::baselineMSI();
-    else if (std::string(preset) == "msi_incl")
+    else if (preset == "msi_incl")
         f = VerifFeatures::inclusiveMSI();
     else
         f = VerifFeatures::neoMESI();
@@ -63,9 +69,11 @@ TEST_P(ClosedSafety, Verifies)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ClosedSafety,
     ::testing::Combine(::testing::Values(1, 2, 3),
-                       ::testing::Values("msi", "msi_incl", "neomesi")),
+                       ::testing::Values(std::string("msi"),
+                                         std::string("msi_incl"),
+                                         std::string("neomesi"))),
     [](const auto &info) {
-        return std::string(std::get<1>(info.param)) + "_N" +
+        return std::get<1>(info.param) + "_N" +
                std::to_string(std::get<0>(info.param));
     });
 
